@@ -470,8 +470,13 @@ class JobQueue:
 
         def entries(spec: ExperimentSpec, seed: int, unit_dir: pathlib.Path):
             index = int(unit_dir.name.rsplit("-", 1)[1])
+            sink = {"probe": "service-sink", "channel": job.channels[index]}
+            if index == len(job.channels) - 1:
+                # The last channel ends the job's event stream; the queue
+                # closes it once the job's terminal status is saved.
+                sink["close"] = False
             return [
-                {"probe": "service-sink", "channel": job.channels[index]},
+                sink,
                 {
                     "probe": "checkpoint",
                     "every": self.checkpoint_every,
@@ -487,20 +492,29 @@ class JobQueue:
         if job is None or job.status not in ("queued", "running"):
             return
         self.store.update(job, status="running", error=None)
+        try:
+            self._execute(job)
+        finally:
+            # Every exit has saved the job's status by now (done, failed,
+            # or queued again after a drain), so a subscriber's `end`
+            # event and an immediate status read agree, and no subscriber
+            # waits on a run that stopped.
+            self._close_channels(job)
 
+    def _execute(self, job: Job) -> None:
         try:
             submission = Submission.from_payload(job.submission)
             specs = submission.expanded()
         except SpecificationError:
             self.store.update(job, status="failed", error=traceback.format_exc())
-            self._close_channels(job)
             return
 
         batch_dir = self.store.batch_dir(job.id)
         # Units persisted before a restart never re-run, so their
         # channels will not be re-opened: close them or late subscribers
-        # would wait forever on a stream that already ended.
-        for index, channel in enumerate(job.channels):
+        # would wait forever on a stream that already ended.  The last
+        # channel stays open until the job's status is saved.
+        for index, channel in enumerate(job.channels[:-1]):
             if (batch_dir / f"unit-{index:04d}" / "result.json").exists():
                 self.broker.close(channel)
 
@@ -522,7 +536,6 @@ class JobQueue:
             raise
         except Exception:
             self.store.update(job, status="failed", error=traceback.format_exc())
-            self._close_channels(job)
             return
 
         with self._lock:
@@ -535,7 +548,6 @@ class JobQueue:
             self.store.save_results(job.id, results)
             self.cache.put(job.fingerprint, job.submission, results)
             self.store.update(job, status="done")
-        self._close_channels(job)
 
     def _close_channels(self, job: Job) -> None:
         for channel in job.channels:

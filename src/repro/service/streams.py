@@ -235,6 +235,11 @@ class ServiceSinkProbe(Probe):
     checkpoint probe, if any) and raises
     :class:`~repro.service.jobs.JobInterrupted` at the next round
     boundary, which is how ``repro serve`` stops gracefully mid-run.
+
+    The probe closes its channel when the run finishes, unless
+    ``close=False`` hands that to the channel's owner: the job queue
+    closes a job's last channel itself, after recording the job's
+    terminal status, so the stream's end never precedes ``done``.
     """
 
     name = "service-sink"
@@ -245,6 +250,7 @@ class ServiceSinkProbe(Probe):
         stream: Any = None,
         include_states: bool = False,
         broker: EventBroker | None = None,
+        close: bool = True,
     ):
         if (channel is None) == (stream is None):
             raise SpecificationError(
@@ -258,6 +264,7 @@ class ServiceSinkProbe(Probe):
         self.channel = channel
         self.stream = stream
         self.include_states = bool(include_states)
+        self.close = bool(close)
         self._broker = broker if broker is not None else BROKER
         self._context: RunContext | None = None
         self._lines = 0
@@ -314,7 +321,7 @@ class ServiceSinkProbe(Probe):
         # service's cache/offline parity guarantee.  Closing the channel
         # here (not in on_complete) also covers failed runs, so SSE
         # subscribers never hang on a dead stream.
-        if self.channel is not None:
+        if self.channel is not None and self.close:
             self._broker.close(self.channel)
         return None
 

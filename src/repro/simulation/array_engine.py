@@ -134,10 +134,11 @@ class _KernelGuardRng(random.Random):
 class ArrayRoundRecord:
     """What one vectorized round did — duck-typed to ``RoundRecord``.
 
-    The driver (:func:`~repro.simulation.protocol.run_engine`) reads the
-    step counters as plain attributes; unlike the reference engine's
-    frozen record there are no per-group ``groups``/``judgements`` tuples
-    to derive them from, because the engine never materialized any.
+    It carries the same step counters as ``RoundRecord``, filled in by
+    the engine, which the driver
+    (:func:`~repro.simulation.protocol.run_engine`) reads as plain
+    attributes.  There are no per-group ``groups``/``judgements`` tuples:
+    the engine never materializes any.
 
     ``multiset`` is a *lazy* property: it snapshots the engine's
     maintained bag only when read (the history probe reads it under

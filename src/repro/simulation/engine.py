@@ -418,28 +418,35 @@ class Simulator:
         judgements: list[StepJudgement] = []
         removed: list = []
         added: list = []
-        clean = True
+        improving = stutters = invalid = largest = 0
         try:
             for group in scheduled:
                 size = len(group.members)
                 if size == 0:
                     continue
+                if size > largest:
+                    largest = size
                 if size == 1 and skip_singletons:
                     groups.append(group)
                     judgements.append(STUTTER_JUDGEMENT)
+                    stutters += 1
                     continue
                 states_before = group.states_of(agents)
                 states_after, judgement = algorithm.apply_group_step(
                     states_before, rng, fast_stutter=incremental
                 )
-                if judgement.kind is not StepKind.STUTTER:
+                if judgement.kind is StepKind.STUTTER:
+                    stutters += 1
+                else:
                     # Valid improvements are installed; invalid steps (only
                     # reachable when the algorithm's enforcement is off) are
                     # recorded and applied anyway, so that benchmarks can
                     # observe the consequences of violating the methodology
                     # (Figure 1 / direct second-smallest).
-                    if judgement.kind is not StepKind.IMPROVEMENT:
-                        clean = False
+                    if judgement.kind is StepKind.IMPROVEMENT:
+                        improving += 1
+                    else:
+                        invalid += 1
                     group_removed, group_added = group.install(agents, states_after)
                     removed.extend(group_removed)
                     added.extend(group_added)
@@ -458,7 +465,9 @@ class Simulator:
             raise
 
         if incremental:
-            multiset, objective, converged = self._fold_round(removed, added, clean)
+            multiset, objective, converged = self._fold_round(
+                removed, added, not invalid
+            )
         else:
             # Reference path: the round's multiset is recomputed from the
             # agent states and shared by the trace, the objective
@@ -473,6 +482,10 @@ class Simulator:
             converged=converged,
             groups=tuple(groups),
             judgements=tuple(judgements),
+            improving_steps=improving,
+            stutter_steps=stutters,
+            invalid_steps=invalid,
+            largest_group=largest,
         )
 
     def _execute_maintained_round(
@@ -498,18 +511,25 @@ class Simulator:
         judgements: list[StepJudgement] | None = None
         removed: list = []
         added: list = []
-        clean = True
+        improving = invalid = 0
+        # Every component is non-empty, so a non-empty partition whose
+        # components are all singletons has largest group 1.
+        largest = 1 if scheduled else 0
         try:
             for index, group in tracker.nonsingleton_groups():
                 members = group.members
+                if len(members) > largest:
+                    largest = len(members)
                 states_after, judgement = apply_group_step(
                     [agents[member].state for member in members],
                     rng,
                     fast_stutter=True,
                 )
                 if judgement is not stutter and judgement.kind is not StepKind.STUTTER:
-                    if judgement.kind is not improvement:
-                        clean = False
+                    if judgement.kind is improvement:
+                        improving += 1
+                    else:
+                        invalid += 1
                     group_removed, group_added = group.install(agents, states_after)
                     removed.extend(group_removed)
                     added.extend(group_added)
@@ -525,7 +545,9 @@ class Simulator:
                 self._objective_value = None
             raise
 
-        multiset, objective, converged = self._fold_round(removed, added, clean)
+        multiset, objective, converged = self._fold_round(
+            removed, added, not invalid
+        )
         if judgements is None:
             # All-stutter round: share one cached all-stutter tuple per
             # partition size instead of rebuilding it every quiet round.
@@ -541,6 +563,10 @@ class Simulator:
             # rounds reference the same groups tuple instead of copying.
             groups=tracker.groups_tuple(),
             judgements=judgements_tuple,
+            improving_steps=improving,
+            stutter_steps=len(scheduled) - improving - invalid,
+            invalid_steps=invalid,
+            largest_group=largest,
         )
 
     def _stutter_judgements(self, size: int) -> tuple[StepJudgement, ...]:

@@ -464,6 +464,11 @@ class MergeMessagePassingSimulator:
             converged=self._maintained.matches(self._target),
             groups=tuple(groups),
             judgements=tuple(judgements),
+            # Every applied merge is one improving pair step.
+            improving_steps=len(groups),
+            stutter_steps=0,
+            invalid_steps=0,
+            largest_group=2 if groups else 0,
         )
 
     def steps(self, max_rounds: int | None = None) -> Iterator[RoundRecord]:

@@ -50,7 +50,7 @@ from typing import (
 from ..agents.group import Group
 from ..core.errors import SpecificationError
 from ..core.multiset import Multiset
-from ..core.relation import StepJudgement, StepKind
+from ..core.relation import StepJudgement
 from ..temporal.trace import Trace
 from .checkpoint import (
     DriverState,
@@ -79,6 +79,11 @@ HISTORY_MODES = ("full", "objective", "none")
 class RoundRecord:
     """What one simulated round did — the unit of the streaming API.
 
+    The engine that executed the round also counts it: the step counters
+    are plain fields it fills in on the branches it already takes, so the
+    driver folds a round into the run totals in O(1) instead of walking
+    every group and judgement again.
+
     Attributes
     ----------
     round_index:
@@ -98,6 +103,14 @@ class RoundRecord:
     judgements:
         The relation ``D``'s verdict for each group step, aligned with
         ``groups``.
+    improving_steps:
+        Group steps that strictly decreased the objective.
+    stutter_steps:
+        Group steps that left their group's state unchanged.
+    invalid_steps:
+        Steps that violated ``D`` (possible only with enforcement off).
+    largest_group:
+        Size of the largest group scheduled this round (0 when none).
     """
 
     round_index: int
@@ -106,31 +119,15 @@ class RoundRecord:
     converged: bool
     groups: tuple[Group, ...]
     judgements: tuple[StepJudgement, ...]
+    improving_steps: int
+    stutter_steps: int
+    invalid_steps: int
+    largest_group: int
 
     @property
     def group_steps(self) -> int:
         """Number of group steps executed this round."""
         return len(self.judgements)
-
-    @property
-    def improving_steps(self) -> int:
-        """Group steps that strictly decreased the objective."""
-        return sum(1 for j in self.judgements if j.kind is StepKind.IMPROVEMENT)
-
-    @property
-    def stutter_steps(self) -> int:
-        """Group steps that left their group's state unchanged."""
-        return sum(1 for j in self.judgements if j.kind is StepKind.STUTTER)
-
-    @property
-    def invalid_steps(self) -> int:
-        """Steps that violated ``D`` (possible only with enforcement off)."""
-        return len(self.judgements) - self.improving_steps - self.stutter_steps
-
-    @property
-    def largest_group(self) -> int:
-        """Size of the largest group scheduled this round (0 when none)."""
-        return max((len(group) for group in self.groups), default=0)
 
 
 @runtime_checkable

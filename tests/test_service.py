@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from urllib.request import urlopen
 
 import pytest
 
@@ -290,6 +291,26 @@ class TestExperimentService:
         everything = list(client.events(job["id"]))
         tail = list(client.events(job["id"], offset="0:2"))
         assert tail == everything[2:]
+
+    def test_end_event_follows_the_done_status(self, service):
+        # The job's last channel closes only after its terminal status is
+        # saved, so neither the `end` summary nor a status read straight
+        # after it can still say "running".  Two seeds: the earlier unit's
+        # channel closes as its run finishes, the last one waits.
+        instance = service()
+        client = ServiceClient(instance.url)
+        job = client.submit(churn_spec(seeds=(0, 1)))
+        url = f"{instance.url}/runs/{job['id']}/events"
+        with urlopen(url, timeout=60) as response:
+            stream = response.read().decode("utf-8")
+        assert client.status(job["id"])["status"] == "done"
+        end = stream.split("event: end\n", 1)[1]
+        summary = json.loads(end.split("data: ", 1)[1].split("\n", 1)[0])
+        assert summary["status"] == "done"
+
+        job = client.submit(churn_spec(seeds=(2,)))
+        assert list(client.events(job["id"]))
+        assert client.status(job["id"])["status"] == "done"
 
     def test_sweep_submission_runs_the_grid(self, service):
         instance = service()
