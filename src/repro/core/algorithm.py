@@ -151,11 +151,15 @@ class SelfSimilarAlgorithm:
 
     def initial_states(self, values: Sequence[Any]) -> list[Hashable]:
         """Build the initial agent states from a sequence of input values."""
-        return [self.make_initial_state(value) for value in values]
+        return list(map(self.make_initial_state, values))
 
-    def target(self, initial_states: Sequence[Hashable]) -> Multiset:
-        """Return ``S* = f(S(0))`` — the multiset the system must reach and keep."""
-        return self.function(Multiset(initial_states))
+    def target(self, initial_states: Sequence[Hashable] | Multiset) -> Multiset:
+        """Return ``S* = f(S(0))`` — the multiset the system must reach and keep.
+
+        Pass the initial bag when one is already built: ``f`` reads it
+        as is, with no second count of the states.
+        """
+        return self.function(initial_states)
 
     # -- execution ------------------------------------------------------------
 

@@ -36,13 +36,22 @@ equality checks reject unequal bags in O(1)), and a cached
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from typing import Any, Hashable, Iterable, Iterator
 
+try:
+    import numpy as _numpy
+except ImportError:  # pragma: no cover - only _fingerprint_of_int64 needs it
+    _numpy = None
+
 __all__ = ["Multiset", "MutableMultiset"]
 
 _FINGERPRINT_MASK = (1 << 64) - 1
+
+#: CPython reduces ``hash(int)`` modulo this prime (2**61 - 1 on 64-bit builds).
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 _FINGERPRINT_CACHE: dict = {}
@@ -86,6 +95,35 @@ def _fingerprint_of_counts(counts: Mapping[Hashable, int]) -> int:
     for value, count in counts.items():
         total += _element_fingerprint(value) * count
     return total & _FINGERPRINT_MASK
+
+
+def _fingerprint_of_int64(values) -> int:
+    """Fingerprint of the bag of a numpy ``int64`` array's elements.
+
+    Equal to ``_fingerprint_of_counts(Counter(values.tolist()))``: the
+    formula of :func:`_element_fingerprint` evaluated for every element
+    at once in wrapping ``uint64`` arithmetic (which is arithmetic modulo
+    2**64, what ``& _FINGERPRINT_MASK`` computes), then summed — the
+    multiplicity weighting falls out of summing repeated elements.  The
+    first steps reproduce CPython's ``hash(int)``: ``|x|`` reduced modulo
+    :data:`_HASH_MODULUS`, negated for negative ``x``, with -1 mapped to
+    -2 (``-1`` is CPython's error return).
+    """
+    np = _numpy
+    values = np.asarray(values, dtype=np.int64)
+    negative = values < 0
+    words = values.view(np.uint64)
+    # Negation in uint64 wraps, so |-2**63| comes out as 2**63 exactly.
+    h = np.where(negative, -words, words) % np.uint64(_HASH_MODULUS)
+    h[negative & (h == 1)] = 2
+    h = np.where(negative, -h, h)
+    h += np.uint64(0x9E3779B97F4A7C15)
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    return int(h.sum(dtype=np.uint64))
 
 
 class Multiset:
@@ -191,6 +229,10 @@ class Multiset:
     def counts(self) -> dict[Hashable, int]:
         """Return a fresh ``{element: multiplicity}`` dictionary."""
         return dict(self._counts)
+
+    def items(self):
+        """A read-only view of the ``(element, multiplicity)`` pairs (no copy)."""
+        return self._counts.items()
 
     def most_common(self) -> list[tuple[Hashable, int]]:
         """Return ``(element, multiplicity)`` pairs, highest multiplicity first."""
@@ -438,7 +480,8 @@ class MutableMultiset:
         self._counts: dict[Hashable, int] = source.counts()
         self._size: int = len(source)
         self._fingerprint: int = source.fingerprint()
-        self._snapshot: Multiset | None = None
+        # The immutable source already is a snapshot of these contents.
+        self._snapshot: Multiset | None = source
 
     # -- queries ---------------------------------------------------------------
 

@@ -163,6 +163,14 @@ class SummationObjective(ObjectiveFunction):
             # per-agent contributions — e.g. the averaging algorithm's
             # Fraction squares — are not silently coerced to floats, which
             # would make tiny-but-real improvements look like ties.
+            if exact_delta:
+                # Exact contributions: pricing each distinct state once and
+                # scaling by its multiplicity gives the same value and type
+                # as adding every copy.
+                return sum(
+                    (per_agent(state) * count for state, count in states.items()),
+                    offset,
+                )
             return sum((per_agent(state) for state in states), offset)
 
         # The int-0 start matters for exactness here too: the delta must

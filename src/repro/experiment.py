@@ -34,10 +34,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import operator
 import random
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
+from .core import mt19937
 from .core.errors import SpecificationError
 from .registry import (
     ALGORITHMS,
@@ -73,12 +75,46 @@ __all__ = [
 # -- named value generators -----------------------------------------------------
 
 
+def _integer_parameter(generator: str, name: str, value: Any) -> int:
+    """``value`` as an int, or a SpecificationError naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SpecificationError(
+            f"value generator {generator!r}: {name} must be an integer, "
+            f"got {value!r}"
+        ) from None
+
+
 @register_value_generator("random-integers")
 def random_integers(
     count: int, low: int = 0, high: int = 99, seed: int | None = None
 ) -> list[int]:
-    """``count`` integers drawn uniformly from ``[low, high]``."""
+    """``count`` integers drawn uniformly from ``[low, high]``.
+
+    Always exactly ``[random.Random(seed).randint(low, high) for _ in
+    range(count)]``.  With numpy, a range of fewer than 2**32 values and
+    int64 bounds, the same draws are made in one batch on the shared
+    MT19937 stream (:func:`~repro.core.mt19937.randbelow_array`).
+    """
+    count = _integer_parameter("random-integers", "count", count)
+    low = _integer_parameter("random-integers", "low", low)
+    high = _integer_parameter("random-integers", "high", high)
+    if count < 0:
+        raise SpecificationError(
+            f"value generator 'random-integers': count must be non-negative, "
+            f"got {count}"
+        )
+    if low > high:
+        raise SpecificationError(
+            f"value generator 'random-integers': low ({low}) is greater than "
+            f"high ({high}), so the range [low, high] is empty"
+        )
     rng = random.Random(seed)
+    width = high - low + 1
+    if mt19937.HAVE_NUMPY and width < 2**32 and -(2**63) <= low and high < 2**63:
+        offsets = mt19937.randbelow_array(rng, width, count)
+        return (offsets.astype("int64") + low).tolist()
     return [rng.randint(low, high) for _ in range(count)]
 
 

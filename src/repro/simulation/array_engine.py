@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
 try:
@@ -63,7 +64,8 @@ except ImportError:  # pragma: no cover - exercised via the HAVE_NUMPY flag
 from ..agents.scheduler import MaximalGroupsScheduler, Scheduler
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SimulationError, SpecificationError
-from ..core.multiset import Multiset
+from ..core.multiset import Multiset, MutableMultiset, _fingerprint_of_int64
+from ..core.mt19937 import numpy_stream
 from ..core.relation import StepKind
 from ..environment.base import (
     Environment,
@@ -81,7 +83,6 @@ from .checkpoint import (
     encode_rng_state,
     encode_state,
     engine_checkpoint_of,
-    rebuilt_multiset,
 )
 from .engine import Simulator, _validate_partition
 from .protocol import Probe, run_engine
@@ -299,8 +300,8 @@ class ArrayEngine:
         self._backend = self._select_backend(kernel, initial_states)
         self._states: Any = None
         self._install_states(initial_states)
-        self._initial_multiset = Multiset(initial_states)
-        self._target = algorithm.target(initial_states)
+        self._initial_multiset = self._bag_of(self._initial_states)
+        self._target = algorithm.target(self._initial_multiset)
         self._target_size = len(self._target)
         self._target_fingerprint = self._target.fingerprint()
         self._state = RoundState(seed, self._initial_multiset)
@@ -351,9 +352,12 @@ class ArrayEngine:
         """
         if kernel in _INT_KERNELS and all(type(value) is int for value in states):
             if kernel == "sum":
-                fits = sum(abs(value) for value in states) <= INT64_MAX
+                fits = sum(map(abs, states)) <= INT64_MAX
             else:
-                fits = all(-(2**63) <= value <= INT64_MAX for value in states)
+                fits = (
+                    min(states, default=0) >= -(2**63)
+                    and max(states, default=0) <= INT64_MAX
+                )
             if fits:
                 return "numpy" if HAVE_NUMPY else "int-array"
         return "list"
@@ -366,6 +370,19 @@ class ArrayEngine:
             self._states = array("q", states)
         else:
             self._states = list(states)
+
+    def _bag_of(self, states: list) -> Multiset:
+        """The bag of ``states``, which must be the flat storage's contents.
+
+        One counting pass builds the multiplicities; on the numpy backend
+        the fingerprint comes from the ``int64`` storage in one vectorized
+        pass (:func:`~repro.core.multiset._fingerprint_of_int64`) instead
+        of one mixed hash per distinct state.
+        """
+        fingerprint = None
+        if self._backend == "numpy":
+            fingerprint = _fingerprint_of_int64(self._states)
+        return Multiset._from_counts(dict(Counter(states)), len(states), fingerprint)
 
     # -- the explicit run state (see RoundState) --------------------------------
 
@@ -383,7 +400,9 @@ class ArrayEngine:
             # Fast-fold mode deferred the bag update; materialize it from
             # the flat states now.  Rebuilding is not a mutation of the
             # conceptual bag (same contents), so the epoch stays put.
-            self._state.maintained = rebuilt_multiset(self.current_states())
+            self._state.maintained = MutableMultiset(
+                self._bag_of(self.current_states())
+            )
             self._bag_stale = False
         return self._state.maintained
 
@@ -481,7 +500,7 @@ class ArrayEngine:
             [decode_state(encoded) for encoded in checkpoint.agent_states]
         )
         self.environment.load_state(checkpoint.environment)
-        state.maintained = rebuilt_multiset(self.current_states())
+        state.maintained = MutableMultiset(self._bag_of(self.current_states()))
         state.objective_value = decode_state(checkpoint.objective_value)
         self._bag_stale = False
         self._churn_pending = None
@@ -545,24 +564,16 @@ class ArrayEngine:
     def _churn_advance(self, round_index: int) -> EnvironmentState | None:
         """RandomChurnEnvironment.advance, with the draws made vectorized.
 
-        numpy's legacy ``RandomState`` runs the same MT19937 core as
-        :class:`random.Random` and derives doubles with the identical
-        ``(a >> 5, b >> 6)`` 53-bit recipe, and the two state tuples
-        interconvert losslessly — so the batch of uniforms drawn here is
-        bit-for-bit the stream the reference loop would draw, and
-        writing the advanced state back leaves the run RNG exactly where
-        ``environment.advance`` would have left it.
+        The batch of uniforms is drawn on the run RNG's own MT19937
+        stream (:func:`~repro.core.mt19937.numpy_stream`), so it is
+        bit-for-bit the stream the reference loop would draw, and the
+        run RNG ends exactly where ``environment.advance`` would have
+        left it.
         """
-        np = _numpy
         env = self.environment
-        rng = self._rng
-        version, internal, gauss = rng.getstate()
-        rs = self._churn_rs
-        rs.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
         num_agents = self._churn_agent_ids.shape[0]
-        draws = rs.random_sample(num_agents + self._churn_edge_u.shape[0])
-        keys, pos = rs.get_state()[1:3]
-        rng.setstate((version, tuple(keys.tolist()) + (int(pos),), gauss))
+        with numpy_stream(self._rng, self._churn_rs) as random_state:
+            draws = random_state.random_sample(num_agents + self._churn_edge_u.shape[0])
         agent_up = env.agent_up_probability
         enabled_mask = None if agent_up >= 1.0 else draws[:num_agents] < agent_up
         edge_mask = draws[num_agents:] < env.edge_up_probability

@@ -190,7 +190,7 @@ class Simulator:
             for index, state in enumerate(initial_states)
         ]
         self._initial_multiset = Multiset(initial_states)
-        self._target = algorithm.target(initial_states)
+        self._target = algorithm.target(self._initial_multiset)
         self._target_size = len(self._target)
         self._target_fingerprint = self._target.fingerprint()
         # The entire mutable run state — RNG, round index, maintained

@@ -14,6 +14,7 @@ from repro import (
     summation_algorithm,
 )
 from repro.agents import RandomPairScheduler
+from repro.core import mt19937
 from repro.core.errors import SpecificationError
 from repro.environment import (
     RandomChurnEnvironment,
@@ -279,6 +280,45 @@ class TestValueGenerators:
         )
         assert spec.resolve_values(0) != spec.resolve_values(1)
         assert spec.resolve_values(2) == spec.resolve_values(2)
+
+    @pytest.fixture(params=["batch", "per-element"])
+    def generator_path(self, request, monkeypatch):
+        """Run a test on the numpy batch path and on the pure-Python one."""
+        if request.param == "batch" and not mt19937.HAVE_NUMPY:
+            pytest.skip("numpy not installed")
+        monkeypatch.setattr(mt19937, "HAVE_NUMPY", request.param == "batch")
+
+    @staticmethod
+    def _resolve(**generator_params):
+        spec = ExperimentSpec(
+            algorithm="minimum",
+            environment="static",
+            value_generator="random-integers",
+            generator_params=generator_params,
+        )
+        return spec.resolve_values(0)
+
+    def test_low_above_high_names_both_bounds(self, generator_path):
+        with pytest.raises(SpecificationError, match=r"low \(9\) is greater than high \(3\)"):
+            self._resolve(count=4, low=9, high=3)
+
+    def test_non_integer_low_is_named(self, generator_path):
+        with pytest.raises(SpecificationError, match="low must be an integer, got 2.5"):
+            self._resolve(count=4, low=2.5, high=9)
+
+    def test_non_integer_high_is_named(self, generator_path):
+        with pytest.raises(SpecificationError, match="high must be an integer, got '9'"):
+            self._resolve(count=4, low=0, high="9")
+
+    def test_negative_count_is_named(self, generator_path):
+        # Without the check this yields [] and surfaces much later as "a
+        # topology needs at least one agent".
+        with pytest.raises(SpecificationError, match="count must be non-negative, got -1"):
+            self._resolve(count=-1)
+
+    def test_non_integer_count_is_named(self, generator_path):
+        with pytest.raises(SpecificationError, match="count must be an integer, got 3.0"):
+            self._resolve(count=3.0)
 
 
 class TestBuilder:
